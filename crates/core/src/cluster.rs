@@ -238,10 +238,11 @@ impl Cluster {
     /// Unified constructor: builds a cluster over any [`Transport`] with
     /// explicit site options and an observability recorder.
     ///
-    /// Site construction (PR-tree bulk loads) is fanned across the
-    /// [`threadpool`]; the resulting cluster is identical to a sequential
-    /// build because sites are independent and links are wired in site
-    /// order afterwards.
+    /// Site construction (PR-tree bulk loads) is split into at most
+    /// [`threadpool::pool_size`] contiguous runs of sites, the first built
+    /// on the caller and each other on one scoped worker; the resulting
+    /// cluster is identical to a sequential build because sites are
+    /// independent and links are wired in site order afterwards.
     ///
     /// # Errors
     ///
@@ -643,36 +644,27 @@ impl Cluster {
         Ok(Cluster { dims, links, health, meter, total_tuples, plan, servers })
     }
 
-    /// Constructs every [`LocalSite`] (each a PR-tree bulk load), one
-    /// scoped thread per site when the pool allows. Results stay in site
-    /// order; errors are surfaced in site order by the caller.
+    /// Constructs every [`LocalSite`] (each a PR-tree bulk load) on
+    /// [`threadpool::map_chunks`]: at most `pool_size()` threads, the
+    /// caller included, each building one contiguous run of sites. Results
+    /// stay in site order; errors are surfaced in site order by the caller.
     fn build_sites(
         dims: usize,
         sites: Vec<Vec<UncertainTuple>>,
         options: SiteOptions,
         recorder: &Recorder,
     ) -> Vec<Result<LocalSite, Error>> {
-        let indexed: Vec<(u32, Vec<UncertainTuple>)> =
-            sites.into_iter().enumerate().map(|(i, t)| (i as u32, t)).collect();
-        let make = |(i, tuples): (u32, Vec<UncertainTuple>)| {
-            LocalSite::new(i, dims, tuples, options).map(|mut site| {
-                site.set_recorder(recorder.clone());
-                site
-            })
-        };
-        if threadpool::pool_size() > 1 && indexed.len() > 1 {
-            let mut out = Vec::with_capacity(indexed.len());
-            threadpool::scope(|s| {
-                let handles: Vec<_> =
-                    indexed.into_iter().map(|item| s.spawn(move || make(item))).collect();
-                for h in handles {
-                    out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-                }
-            });
-            out
-        } else {
-            indexed.into_iter().map(make).collect()
-        }
+        threadpool::map_chunks(sites, |first, chunk| {
+            (first as u32..)
+                .zip(chunk)
+                .map(|(i, tuples)| {
+                    LocalSite::new(i, dims, tuples, options).map(|mut site| {
+                        site.set_recorder(recorder.clone());
+                        site
+                    })
+                })
+                .collect()
+        })
     }
 
     fn build(

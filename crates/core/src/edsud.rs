@@ -45,13 +45,29 @@ use crate::{
 struct Candidate {
     msg: TupleMsg,
     /// For each other site id: `∏ (1 − P(t))` over already-broadcast tuples
-    /// `t` from that site that dominate this candidate.
-    broadcast_discount: HashMap<u32, f64>,
+    /// `t` from that site that dominate this candidate, as `(site, factor)`
+    /// sorted by site id (see [`site_factor`]).
+    broadcast_discount: Vec<(u32, f64)>,
+}
+
+/// The factor of `site` in `factors`, a `(site, factor)` list sorted by
+/// site id, inserted as `1.0` if absent. A sorted list rather than a hash
+/// map: the bound's product then folds in ascending site order, one fixed
+/// float order, and a small list clones and searches faster than a map.
+fn site_factor(factors: &mut Vec<(u32, f64)>, site: u32) -> &mut f64 {
+    let i = match factors.binary_search_by_key(&site, |&(s, _)| s) {
+        Ok(i) => i,
+        Err(i) => {
+            factors.insert(i, (site, 1.0));
+            i
+        }
+    };
+    &mut factors[i].1
 }
 
 impl Candidate {
     fn new(msg: TupleMsg, history: &[TupleMsg], mask: SubspaceMask) -> Self {
-        let mut c = Candidate { msg, broadcast_discount: HashMap::new() };
+        let mut c = Candidate { msg, broadcast_discount: Vec::new() };
         for h in history {
             c.absorb_broadcast(h, mask);
         }
@@ -62,12 +78,15 @@ impl Candidate {
     /// non-occurrence probability discounts this candidate forever.
     fn absorb_broadcast(&mut self, t: &TupleMsg, mask: SubspaceMask) {
         if t.id.site != self.msg.id.site && dominates_in(&t.values, &self.msg.values, mask) {
-            *self.broadcast_discount.entry(t.id.site.0).or_insert(1.0) *= 1.0 - t.prob;
+            *site_factor(&mut self.broadcast_discount, t.id.site.0) *= 1.0 - t.prob;
         }
     }
 
     /// The upper bound `P*_gsky` (Corollary 2) of this candidate given the
     /// current queue contents, optionally tightened by per-site synopses.
+    ///
+    /// The per-site factors are multiplied in ascending site order: a float
+    /// product depends on its order.
     fn bound(
         &self,
         queue: &[Candidate],
@@ -83,18 +102,17 @@ impl Candidate {
                 {
                     continue;
                 }
-                let site = other.msg.id.site.0;
                 let simple = 1.0 - other.msg.prob;
-                let broadcast = per_site.get(&site).copied().unwrap_or(1.0);
+                let factor = site_factor(&mut per_site, other.msg.id.site.0);
                 // Two valid per-site bounds that may double-count each
                 // other's factors — take the tighter, never the product:
                 // (a) confirmed broadcast dominators plus the in-queue
                 //     representative itself (all distinct tuples);
                 // (b) the Observation-2 transitive bound through the
                 //     in-queue representative.
-                let with_simple = broadcast * simple;
+                let with_simple = *factor * simple;
                 let obs2 = (other.msg.local_prob / other.msg.prob) * simple;
-                per_site.insert(site, with_simple.min(obs2));
+                *factor = with_simple.min(obs2);
             }
         }
         // Synopsis factors: per site, another valid upper bound on the
@@ -104,11 +122,11 @@ impl Candidate {
             if site == self.msg.id.site.0 {
                 continue;
             }
-            let factor = syn.survival_bound(&self.msg.values, mask);
-            let current = per_site.get(&site).copied().unwrap_or(1.0);
-            per_site.insert(site, current.min(factor));
+            let bound = syn.survival_bound(&self.msg.values, mask);
+            let factor = site_factor(&mut per_site, site);
+            *factor = factor.min(bound);
         }
-        self.msg.local_prob * per_site.values().product::<f64>()
+        self.msg.local_prob * per_site.iter().map(|&(_, f)| f).product::<f64>()
     }
 }
 
@@ -772,6 +790,25 @@ mod tests {
         let b = c.bound(&[], full2(), BoundMode::Paper, &HashMap::new());
         // Site 0 contributes 0.5 × 0.5, site 1 contributes 0.8.
         assert!((b - 0.8 * 0.25 * 0.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bound_folds_site_factors_in_ascending_site_order() {
+        // Products of these factors take three different values across
+        // permutations; the history lists the sites out of order.
+        let factors = [(0, 0.1), (3, 0.3), (1, 0.7), (4, 0.9), (2, 0.13)];
+        let history: Vec<TupleMsg> =
+            factors.iter().map(|&(site, f)| msg(site, vec![1.0, 1.0], 1.0 - f, 0.5)).collect();
+        let c = Candidate::new(msg(9, vec![3.0, 3.0], 0.9, 0.8), &history, full2());
+        let b = c.bound(&[], full2(), BoundMode::Paper, &HashMap::new());
+
+        let fold = |order: &[(u32, f64)]| {
+            0.8 * order.iter().map(|&(_, f)| 1.0 - (1.0 - f)).product::<f64>()
+        };
+        let mut ascending = factors;
+        ascending.sort_by_key(|&(site, _)| site);
+        assert_eq!(b.to_bits(), fold(&ascending).to_bits());
+        assert_ne!(fold(&ascending).to_bits(), fold(&factors).to_bits(), "order must matter");
     }
 
     #[test]

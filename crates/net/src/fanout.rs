@@ -44,7 +44,7 @@ use std::collections::{HashMap, VecDeque};
 use dsud_obs::{Counter, Recorder};
 
 use crate::message::AggReply;
-use crate::{Link, LinkError, Message, Service, Ticket};
+use crate::{Link, LinkError, Message, Service, Step, Ticket};
 
 /// One position in a [`FanPlan`]: either a site itself or an aggregator
 /// over an ascending run of child nodes.
@@ -826,6 +826,13 @@ impl<L: Link> Link for SiteRoute<L> {
     fn complete(&mut self, ticket: Ticket) -> Result<Message, LinkError> {
         let reply = self.inner.complete(ticket)?;
         unwrap_single(self.site, reply)
+    }
+
+    fn complete_step(&mut self, ticket: Ticket) -> Step {
+        match self.inner.complete_step(ticket) {
+            Step::Done(reply) => Step::Done(reply.and_then(|r| unwrap_single(self.site, r))),
+            Step::Resent => Step::Resent,
+        }
     }
 
     fn reconnect(&mut self) -> Result<(), LinkError> {

@@ -79,6 +79,6 @@ pub use server::{
 };
 pub use transport::{
     broadcast, scatter, ChannelLink, ChaosLink, FaultKind, FaultMode, FaultPlan, FaultWindow,
-    FaultyLink, Link, LinkConfig, LinkError, LocalLink, Service, Ticket,
+    FaultyLink, Link, LinkConfig, LinkError, LocalLink, Service, Step, Ticket,
 };
 pub use wire::{BatchView, TupleBlock};

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use dsud_obs::{Counter, Recorder};
 
 use crate::transport::TicketLedger;
-use crate::{Link, LinkConfig, LinkError, Message, Ticket};
+use crate::{Link, LinkConfig, LinkError, Message, Step, Ticket};
 
 /// Shared, lock-free view of one link's failure history.
 ///
@@ -159,11 +159,14 @@ impl LinkHealth {
 /// the [`Recorder`] ([`Counter::LinkRetries`], [`Counter::LinkTimeouts`])
 /// so they land in the run report.
 ///
-/// Retries happen inside [`Link::complete`], never at [`Link::send`]: a
-/// failed send is deferred (the ticket is still issued), so the rest of a
+/// Retries happen when the request is completed, never at [`Link::send`]:
+/// a failed send is deferred (the ticket is still issued), so the rest of a
 /// broadcast's sends go out before any backoff pause — the same overlap a
 /// healthy round has, and the same deterministic backoff schedule as the
-/// synchronous path. When several requests are in flight and one fails, the
+/// synchronous path. [`Link::complete_step`] returns as soon as a retry is
+/// back in flight, so a [`broadcast`](crate::broadcast) waits for the
+/// retries of all its links at once; [`Link::complete`] steps until the
+/// request is done. When several requests are in flight and one fails, the
 /// inner transport's remaining tickets are condemned (the wire they rode is
 /// gone); the later requests are replayed, in send order, over a fresh
 /// connection.
@@ -179,7 +182,7 @@ pub struct RetryLink<L> {
     pending: VecDeque<Pending>,
     /// Set once a failure forced (or will force) an inner reconnect: the
     /// inner tickets of later pending requests no longer redeem, so those
-    /// requests are replayed via `inner.call` instead. Cleared when the
+    /// requests are replayed on the fresh wire instead. Cleared when the
     /// window drains.
     broken: bool,
 }
@@ -192,6 +195,11 @@ struct Pending {
     /// The inner ticket when the send went through, or the deferred send
     /// error to retry at completion time.
     state: Result<Ticket, LinkError>,
+    /// Whether `state` is a ticket of the current wire: the request was
+    /// sent again after a reconnect, as a retry or a replay.
+    resent: bool,
+    /// Retries spent on this request.
+    retries: u32,
 }
 
 impl<L: Link> RetryLink<L> {
@@ -230,13 +238,24 @@ impl<L: Link> RetryLink<L> {
         }
     }
 
-    /// Retries `msg` after `first_error`, consuming the remaining budget.
-    fn retry_after(&mut self, msg: Message, first_error: LinkError) -> Result<Message, LinkError> {
-        let mut last_error = first_error;
-        for attempt in 1..=self.config.retry_budget {
+    /// Sends `entry` again on the inner transport, after a reconnect.
+    fn resend(&mut self, entry: &mut Pending) -> Result<(), LinkError> {
+        entry.state = Ok(self.inner.send(entry.msg.clone())?);
+        entry.resent = true;
+        Ok(())
+    }
+
+    /// Spends what is left of the retry budget on the head request `entry`
+    /// after it failed with `error`, up to the first retry that goes out.
+    fn retry(&mut self, mut entry: Pending, mut error: LinkError) -> Step {
+        // Retries reconnect the inner transport, which condemns the inner
+        // tickets of everything sent after this request.
+        self.broken = true;
+        while entry.retries < self.config.retry_budget {
+            entry.retries += 1;
             self.health.note_retry();
             self.recorder.incr(Counter::LinkRetries);
-            let pause = self.config.backoff_step(attempt);
+            let pause = self.config.backoff_step(entry.retries);
             if !pause.is_zero() {
                 std::thread::sleep(pause);
             }
@@ -245,15 +264,33 @@ impl<L: Link> RetryLink<L> {
             // error.
             let _ = self.inner.reconnect();
             self.health.note_attempt();
-            match self.inner.call(msg.clone()) {
-                Ok(reply) => return Ok(reply),
+            match self.resend(&mut entry) {
+                Ok(()) => {
+                    self.pending.push_front(entry);
+                    return Step::Resent;
+                }
                 Err(e) => {
                     self.note_failure(&e);
-                    last_error = e;
+                    error = e;
                 }
             }
         }
-        Err(last_error)
+        self.finish(entry.ticket, Err(error))
+    }
+
+    /// Retires the head request with its final `result`.
+    fn finish(&mut self, ticket: Ticket, result: Result<Message, LinkError>) -> Step {
+        self.tickets.redeem(ticket);
+        if self.pending.is_empty() {
+            // The window drained: whatever happened, the next send starts
+            // from a coherent (possibly freshly reconnected) wire.
+            self.broken = false;
+        }
+        match result {
+            Ok(_) => self.health.note_success(),
+            Err(_) => self.health.note_miss(),
+        }
+        Step::Done(result)
     }
 }
 
@@ -272,23 +309,31 @@ impl<L: Link> Link for RetryLink<L> {
             }
         };
         let ticket = self.tickets.issue();
-        self.pending.push_back(Pending { ticket, msg, state });
+        self.pending.push_back(Pending { ticket, msg, state, resent: false, retries: 0 });
         Ok(ticket)
     }
 
     fn complete(&mut self, ticket: Ticket) -> Result<Message, LinkError> {
-        self.tickets.redeem(ticket);
-        let entry = self.pending.pop_front().expect("a redeemed ticket has a pending request");
+        loop {
+            if let Step::Done(result) = self.complete_step(ticket) {
+                return result;
+            }
+        }
+    }
+
+    fn complete_step(&mut self, ticket: Ticket) -> Step {
+        let mut entry = self.pending.pop_front().expect("a redeemed ticket has a pending request");
         assert!(entry.ticket == ticket, "tickets must be completed in send order");
-        let result = match entry.state {
-            Ok(inner_ticket) if !self.broken => match self.inner.complete(inner_ticket) {
-                Ok(reply) => Ok(reply),
-                Err(e) => {
-                    self.note_failure(&e);
-                    self.broken = true;
-                    self.retry_after(entry.msg, e)
+        let error = match entry.state {
+            Ok(inner_ticket) if entry.resent || !self.broken => {
+                match self.inner.complete(inner_ticket) {
+                    Ok(reply) => return self.finish(ticket, Ok(reply)),
+                    Err(e) => {
+                        self.note_failure(&e);
+                        e
+                    }
                 }
-            },
+            }
             Ok(_abandoned) => {
                 // An earlier in-flight request broke the wire after this one
                 // was sent; its inner ticket died with the old connection.
@@ -297,32 +342,21 @@ impl<L: Link> Link for RetryLink<L> {
                 // retry of a timed-out request has.
                 let _ = self.inner.reconnect();
                 self.health.note_attempt();
-                match self.inner.call(entry.msg.clone()) {
-                    Ok(reply) => Ok(reply),
+                match self.resend(&mut entry) {
+                    Ok(()) => {
+                        self.pending.push_front(entry);
+                        return Step::Resent;
+                    }
                     Err(e) => {
                         self.note_failure(&e);
-                        self.retry_after(entry.msg, e)
+                        e
                     }
                 }
             }
-            Err(e) => {
-                // A deferred send failure: the retry loop below may
-                // reconnect the inner transport, which condemns the inner
-                // tickets of everything sent after this request.
-                self.broken = true;
-                self.retry_after(entry.msg, e)
-            }
+            // A deferred send failure, already counted at `send`.
+            Err(ref e) => e.clone(),
         };
-        if self.pending.is_empty() {
-            // The window drained: whatever happened, the next send starts
-            // from a coherent (possibly freshly reconnected) wire.
-            self.broken = false;
-        }
-        match result {
-            Ok(_) => self.health.note_success(),
-            Err(_) => self.health.note_miss(),
-        }
-        result
+        self.retry(entry, error)
     }
 
     fn reconnect(&mut self) -> Result<(), LinkError> {

@@ -8,8 +8,9 @@
 //! indistinguishable from one behind a [`LocalLink`](crate::LocalLink) —
 //! the equivalence is asserted by the integration tests.
 //!
-//! Failure handling: reads observe the [`LinkConfig::request_timeout`]
-//! deadline via `set_read_timeout`, every operation returns
+//! Failure handling: each request's [`LinkConfig::request_timeout`] counts
+//! from its send, and reads observe what is left of it via
+//! `set_read_timeout`; every operation returns
 //! [`LinkError`] values instead of panicking, and a [`TcpLink`] remembers
 //! its server's address so [`Link::reconnect`] can re-dial after a drop —
 //! which works because [`spawn_site`] accepts connections in a loop until
@@ -41,11 +42,13 @@
 //! # }
 //! ```
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
@@ -111,6 +114,8 @@ pub struct TcpLink {
     /// wire order. TCP preserves ordering, so the `k`-th reply frame on
     /// the stream answers the `k`-th outstanding request.
     tickets: TicketLedger,
+    /// Reply deadlines of the outstanding requests, in send order.
+    deadlines: VecDeque<Instant>,
     /// Reusable encode buffer: frames are serialized here, written, and the
     /// allocation kept for the next request.
     send_buf: BytesMut,
@@ -145,6 +150,7 @@ impl TcpLink {
             config,
             meter,
             tickets: TicketLedger::default(),
+            deadlines: VecDeque::new(),
             send_buf: BytesMut::new(),
             recv_buf: Vec::new(),
         })
@@ -180,17 +186,26 @@ impl Link for TcpLink {
             return Err(e.into());
         }
         self.meter.record(&msg);
+        self.deadlines.push_back(Instant::now() + self.config.request_timeout);
         Ok(self.tickets.issue())
     }
 
     fn complete(&mut self, ticket: Ticket) -> Result<Message, LinkError> {
         self.tickets.redeem(ticket);
+        let deadline = self.deadlines.pop_front().expect("a redeemed ticket has a deadline");
         let Some(stream) = self.stream.as_mut() else {
             // The stream was poisoned (by an earlier failed completion or a
             // failed send); every ticket it still owed is a loss.
             return Err(LinkError::Disconnected);
         };
-        match read_frame_into(stream, &mut self.recv_buf) {
+        // A socket rejects a zero read timeout, so a request whose deadline
+        // has passed gets one last millisecond, enough to read a reply that
+        // has already arrived.
+        let left = deadline.saturating_duration_since(Instant::now());
+        let read = stream
+            .set_read_timeout(Some(left.max(Duration::from_millis(1))))
+            .and_then(|()| read_frame_into(stream, &mut self.recv_buf));
+        match read {
             Ok(true) => {}
             // Clean EOF mid-request: the site closed on us.
             Ok(false) => {
@@ -226,6 +241,7 @@ impl Link for TcpLink {
         // A fresh connection shares no framing state with the old one:
         // abandon every outstanding ticket along with the old stream.
         self.tickets.reset();
+        self.deadlines.clear();
         self.stream = Some(Self::dial(self.addr, self.config)?);
         Ok(())
     }
@@ -586,6 +602,49 @@ mod tests {
         assert!(started.elapsed() < Duration::from_millis(250), "deadline must bound the wait");
         drop(link);
         server.shutdown().unwrap();
+    }
+
+    #[test]
+    fn requests_sent_together_time_out_together() {
+        // Six sites that answer nothing until released, behind a 40 ms
+        // deadline: each request's deadline counts from its send, so
+        // completing them one after another takes about one deadline, not
+        // six.
+        let released = Arc::new(AtomicBool::new(false));
+        let servers: Vec<SiteServer> = (0..6)
+            .map(|_| {
+                let released = Arc::clone(&released);
+                spawn_site(move |_msg: Message| {
+                    while !released.load(Ordering::Relaxed) {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    Message::Ack
+                })
+                .unwrap()
+            })
+            .collect();
+        let config = LinkConfig {
+            request_timeout: Duration::from_millis(40),
+            retry_budget: 0,
+            backoff: Duration::ZERO,
+        };
+        let mut links: Vec<TcpLink> = servers
+            .iter()
+            .map(|s| TcpLink::connect_with(s.addr(), BandwidthMeter::new(), config).unwrap())
+            .collect();
+        let started = std::time::Instant::now();
+        let tickets: Vec<Ticket> =
+            links.iter_mut().map(|l| l.send(Message::RequestNext).unwrap()).collect();
+        for (link, ticket) in links.iter_mut().zip(tickets) {
+            assert_eq!(link.complete(ticket), Err(LinkError::Timeout));
+        }
+        let elapsed = started.elapsed();
+        released.store(true, Ordering::Relaxed);
+        assert!(elapsed < Duration::from_millis(150), "six stalled requests took {elapsed:?}");
+        drop(links);
+        for server in servers {
+            server.shutdown().unwrap();
+        }
     }
 
     #[test]

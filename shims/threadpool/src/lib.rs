@@ -8,15 +8,17 @@
 //! operation. This shim therefore offers only work-stealing-free
 //! primitives whose output is a pure function of the input:
 //!
-//! * [`parallel_map`] / [`parallel_map_vec`] — split the input into
-//!   *contiguous* chunks, one per worker, and concatenate the per-chunk
-//!   results in input order. Each output element is produced by exactly
-//!   the same closure invocation as in a sequential map.
+//! * [`map_chunks`] — split the input into at most [`pool_size`]
+//!   *contiguous* chunks, run the first on the caller and each other on
+//!   one scoped worker, and concatenate the per-chunk results in input
+//!   order. Every primitive below is built on it; the coordinator's site
+//!   fan-out waves and site construction use it directly.
+//! * [`parallel_map`] / [`parallel_map_vec`] — element maps over those
+//!   chunks. Each output element is produced by exactly the same closure
+//!   invocation as in a sequential map.
 //! * [`par_sort_by`] — chunk-local stable sorts followed by left-preferring
 //!   stable merges; the result equals `slice::sort_by` (a stable sort's
 //!   output is unique), for every pool size.
-//! * [`scope`] — re-export of [`std::thread::scope`] for ad-hoc structured
-//!   concurrency.
 //!
 //! The pool size comes from, in priority order: a programmatic
 //! [`set_pool_size`] override (tests and benchmarks), the `DSUD_THREADS`
@@ -31,8 +33,7 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-pub use std::thread::scope;
+use std::thread::scope;
 
 /// Upper bound on the pool size; protects against absurd `DSUD_THREADS`
 /// values.
@@ -70,6 +71,46 @@ pub fn pool_size() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(1).clamp(1, MAX_THREADS)
 }
 
+/// Runs `f` once per contiguous chunk of `items` and concatenates the
+/// per-chunk results in input order.
+///
+/// `items` is split into at most [`pool_size`] chunks whose lengths differ
+/// by at most one. The calling thread runs the first chunk and every other
+/// chunk gets one scoped worker, so a call never occupies more than
+/// `pool_size()` threads. `f` receives the input index of its chunk's
+/// first item and owns the chunk. With a pool of 1, or at most one item,
+/// `f` runs once on the caller over the whole input.
+///
+/// There is no minimum input size: this is the primitive for waves where
+/// every item is a whole unit of work (a site request, a site build). For
+/// cheap per-element maps use [`parallel_map_vec`].
+///
+/// # Panics
+///
+/// Propagates a panic from `f`.
+pub fn map_chunks<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, Vec<T>) -> Vec<R> + Sync,
+{
+    let workers = pool_size().min(items.len());
+    if workers <= 1 {
+        return f(0, items);
+    }
+    let mut chunks = split_into_chunks(items, workers).into_iter();
+    let (first_at, first) = chunks.next().expect("at least two chunks");
+    let f = &f;
+    scope(|s| {
+        let handles: Vec<_> = chunks.map(|(at, chunk)| s.spawn(move || f(at, chunk))).collect();
+        let mut out = f(first_at, first);
+        for h in handles {
+            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        out
+    })
+}
+
 /// Inputs shorter than this are always mapped inline: spawning costs more
 /// than the work saved.
 const MIN_ITEMS_TO_SPAWN: usize = 32;
@@ -77,7 +118,7 @@ const MIN_ITEMS_TO_SPAWN: usize = 32;
 /// Maps `f` over `items`, returning results in input order.
 ///
 /// `f` receives the item's index and a reference to it. The input is split
-/// into contiguous chunks, one per pool worker; with a pool of 1 (or a
+/// into contiguous chunks as in [`map_chunks`]; with a pool of 1 (or a
 /// small input) the map runs inline. Either way the result is exactly
 /// `items.iter().enumerate().map(|(i, t)| f(i, t)).collect()`.
 ///
@@ -90,28 +131,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = pool_size().min(items.len());
-    if workers <= 1 || items.len() < MIN_ITEMS_TO_SPAWN {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(items.len());
-    scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(w, slice)| {
-                let f = &f;
-                s.spawn(move || {
-                    slice.iter().enumerate().map(|(j, t)| f(w * chunk + j, t)).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
-    out
+    parallel_map_vec(items.iter().collect(), f)
 }
 
 /// Consuming variant of [`parallel_map`]: moves each item into `f`.
@@ -128,32 +148,12 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let workers = pool_size().min(items.len());
-    if workers <= 1 || items.len() < MIN_ITEMS_TO_SPAWN {
+    if items.len() < MIN_ITEMS_TO_SPAWN {
         return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let chunk = items.len().div_ceil(workers);
-    let chunks = split_into_chunks(items, chunk);
-    let mut out = Vec::new();
-    scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(w, slab)| {
-                let f = &f;
-                s.spawn(move || {
-                    slab.into_iter()
-                        .enumerate()
-                        .map(|(j, t)| f(w * chunk + j, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
-    out
+    map_chunks(items, |at, chunk| {
+        chunk.into_iter().enumerate().map(|(j, t)| f(at + j, t)).collect()
+    })
 }
 
 /// Sorts in parallel with the exact result of a sequential stable
@@ -174,66 +174,49 @@ where
     F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
 {
     const MIN_ITEMS_TO_SORT_PARALLEL: usize = 4096;
-    let workers = pool_size();
-    if workers <= 1 || items.len() < MIN_ITEMS_TO_SORT_PARALLEL {
+    if pool_size() <= 1 || items.len() < MIN_ITEMS_TO_SORT_PARALLEL {
         items.sort_by(|a, b| cmp(a, b));
         return;
     }
-    let chunk = items.len().div_ceil(workers);
-    let mut runs = split_into_chunks(std::mem::take(items), chunk);
-    scope(|s| {
-        for run in &mut runs {
-            let cmp = &cmp;
-            s.spawn(move || run.sort_by(|a, b| cmp(a, b)));
-        }
+    // One stable-sorted run per chunk, in input order.
+    let mut runs = map_chunks(std::mem::take(items), |_, mut run| {
+        run.sort_by(|a, b| cmp(a, b));
+        vec![run]
     });
-    // Merge adjacent runs until one remains; each round merges pairs on
-    // the pool. Left-preferring merges keep the overall sort stable.
+    // Merge adjacent runs until one remains; each level merges its pairs
+    // on the pool. Left-preferring merges keep the overall sort stable.
     while runs.len() > 1 {
         let mut paired: Vec<(Vec<T>, Option<Vec<T>>)> = Vec::with_capacity(runs.len().div_ceil(2));
         let mut it = runs.into_iter();
         while let Some(left) = it.next() {
             paired.push((left, it.next()));
         }
-        runs = if paired.len() > 1 {
-            let mut merged = Vec::with_capacity(paired.len());
-            scope(|s| {
-                let handles: Vec<_> = paired
-                    .into_iter()
-                    .map(|(left, right)| {
-                        let cmp = &cmp;
-                        s.spawn(move || match right {
-                            Some(right) => merge_stable(left, right, cmp),
-                            None => left,
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    merged.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-                }
-            });
-            merged
-        } else {
-            paired
+        runs = map_chunks(paired, |_, pairs| {
+            pairs
                 .into_iter()
                 .map(|(left, right)| match right {
                     Some(right) => merge_stable(left, right, &cmp),
                     None => left,
                 })
                 .collect()
-        };
+        });
     }
     *items = runs.pop().unwrap_or_default();
 }
 
-/// Splits a vector into owned contiguous chunks of at most `chunk` items.
-fn split_into_chunks<T>(mut items: Vec<T>, chunk: usize) -> Vec<Vec<T>> {
-    let mut chunks = Vec::with_capacity(items.len().div_ceil(chunk.max(1)));
-    while items.len() > chunk {
-        let tail = items.split_off(chunk);
-        chunks.push(std::mem::replace(&mut items, tail));
+/// Splits `items` into `n` owned contiguous chunks (`1 <= n <= len`)
+/// whose lengths differ by at most one, longer chunks first. Each chunk is
+/// tagged with the input index of its first item.
+fn split_into_chunks<T>(mut items: Vec<T>, n: usize) -> Vec<(usize, Vec<T>)> {
+    let (base, extra) = (items.len() / n, items.len() % n);
+    let mut chunks = Vec::with_capacity(n);
+    // From the back, so each `split_off` moves only its own chunk.
+    for k in (1..n).rev() {
+        let at = k * base + k.min(extra);
+        chunks.push((at, items.split_off(at)));
     }
-    chunks.push(items);
+    chunks.push((0, items));
+    chunks.reverse();
     chunks
 }
 
@@ -286,6 +269,32 @@ mod tests {
     #[test]
     fn override_wins_and_clears() {
         with_pool(3, || assert_eq!(pool_size(), 3));
+    }
+
+    #[test]
+    fn map_chunks_splits_evenly_on_at_most_pool_threads() {
+        for (len, pool, expected) in [
+            (8, 3, vec![(0, 3), (3, 3), (6, 2)]),
+            (3, 8, vec![(0, 1), (1, 1), (2, 1)]),
+            (7, 2, vec![(0, 4), (4, 3)]),
+            (5, 1, vec![(0, 5)]),
+            (0, 4, vec![(0, 0)]),
+        ] {
+            let items: Vec<usize> = (0..len).collect();
+            let caller = std::thread::current().id();
+            let got = with_pool(pool, || {
+                map_chunks(items.clone(), |at, chunk| {
+                    vec![(at, chunk.len(), std::thread::current().id(), chunk)]
+                })
+            });
+            let layout: Vec<(usize, usize)> = got.iter().map(|c| (c.0, c.1)).collect();
+            assert_eq!(layout, expected, "{len} items on pool {pool}");
+            assert_eq!(got[0].2, caller, "the caller runs the first chunk");
+            let threads: std::collections::HashSet<_> = got.iter().map(|c| c.2).collect();
+            assert_eq!(threads.len(), got.len(), "one thread per chunk");
+            let flat: Vec<usize> = got.into_iter().flat_map(|c| c.3).collect();
+            assert_eq!(flat, items, "chunks concatenate to the input");
+        }
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! allocates the owned reply frame; that overhead is bounded per *round*,
 //! not per tuple, and is covered by the footprint assertions in the
 //! transport tests.
+//!
+//! The counter is process-wide, so the target runs without the libtest
+//! harness (`harness = false`): `main` runs the checks in sequence on the
+//! only thread of the process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,6 +29,8 @@ use dsud_uncertain::{Probability, TupleId, UncertainTuple};
 /// assertions difference two readings around the region under test.
 struct CountingAlloc;
 
+/// Allocations made by every thread of the process, so a measured region
+/// that hands work to another thread is still charged for it.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -70,7 +76,6 @@ fn warm_site_and_frame(k: u64) -> (LocalSite, Vec<u8>) {
 
 /// The site half: a warm `LocalSite` answering columnar feedback frames
 /// into a reused reply buffer must not allocate at all.
-#[test]
 fn warm_site_rounds_allocate_nothing() {
     let (mut site, frame) = warm_site_and_frame(8);
     let mut out = bytes::BytesMut::new();
@@ -91,7 +96,6 @@ fn warm_site_rounds_allocate_nothing() {
 
 /// The coordinator half: decoding a columnar survival reply into a reused
 /// vector and folding the factors must not allocate either.
-#[test]
 fn warm_coordinator_fold_allocates_nothing() {
     let (mut site, frame) = warm_site_and_frame(8);
     let mut reply = bytes::BytesMut::new();
@@ -122,7 +126,6 @@ fn warm_coordinator_fold_allocates_nothing() {
 /// End to end in one loop: frame in, reply out, fold — the whole batched
 /// round body the wire layout optimizes — at zero allocations per round
 /// once warm, for both sides at once.
-#[test]
 fn warm_round_trip_allocates_nothing() {
     let (mut site, frame) = warm_site_and_frame(16);
     let mut reply = bytes::BytesMut::new();
@@ -143,4 +146,90 @@ fn warm_round_trip_allocates_nothing() {
     let after = allocations();
     assert_eq!(after - before, 0, "warm round trips must not touch the allocator");
     assert!(product.is_finite());
+}
+
+/// The checks, in the order they run.
+const CHECKS: [(&str, fn()); 3] = [
+    ("warm_coordinator_fold_allocates_nothing", warm_coordinator_fold_allocates_nothing),
+    ("warm_round_trip_allocates_nothing", warm_round_trip_allocates_nothing),
+    ("warm_site_rounds_allocate_nothing", warm_site_rounds_allocate_nothing),
+];
+
+/// Runs the checks one after another on the main thread and reports them
+/// in libtest's format. The target is built with `harness = false`: the
+/// libtest runner keeps threads of its own that allocate while a test
+/// measures, and the counter above is process-wide on purpose.
+///
+/// Understands the libtest arguments that select tests: name filters,
+/// `--exact`, `--skip NAME`, `--ignored` and `--list`; other options are
+/// accepted and ignored.
+fn main() {
+    let (mut filters, mut skips) = (Vec::new(), Vec::new());
+    let (mut exact, mut ignored, mut list) = (false, false, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--exact" => exact = true,
+            "--ignored" => ignored = true,
+            "--list" => list = true,
+            "--skip" => skips.extend(args.next()),
+            // Options that take a value as the next argument.
+            "--test-threads" | "--format" | "--color" | "--logfile" | "-Z" => {
+                args.next();
+            }
+            flag if flag.starts_with('-') => {}
+            filter => filters.push(filter.to_owned()),
+        }
+    }
+    let matches = |name: &str, pattern: &String| {
+        if exact {
+            name == pattern
+        } else {
+            name.contains(pattern.as_str())
+        }
+    };
+    let selected: Vec<_> = CHECKS
+        .iter()
+        .filter(|_| !ignored)
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+        .filter(|(name, _)| !skips.iter().any(|s| matches(name, s)))
+        .collect();
+    if list {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        return;
+    }
+
+    let started = std::time::Instant::now();
+    let plural = if selected.len() == 1 { "" } else { "s" };
+    println!("\nrunning {} test{plural}", selected.len());
+    let mut failed = Vec::new();
+    for (name, check) in &selected {
+        print!("test {name} ... ");
+        std::io::Write::flush(&mut std::io::stdout()).ok();
+        if std::panic::catch_unwind(check).is_ok() {
+            println!("ok");
+        } else {
+            println!("FAILED");
+            failed.push(*name);
+        }
+    }
+    if !failed.is_empty() {
+        println!("\nfailures:");
+        for name in &failed {
+            println!("    {name}");
+        }
+    }
+    println!(
+        "\ntest result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out; finished in {:.2}s\n",
+        if failed.is_empty() { "ok" } else { "FAILED" },
+        selected.len() - failed.len(),
+        failed.len(),
+        CHECKS.len() - selected.len(),
+        started.elapsed().as_secs_f64(),
+    );
+    if !failed.is_empty() {
+        std::process::exit(101);
+    }
 }
