@@ -807,12 +807,30 @@ impl Cluster {
     }
 }
 
-/// Interprets a reply from `site` that must be an upload.
+/// Interprets a reply from `site` that must be an upload. An uploaded
+/// tuple must name `site` as its home, carry a probability in `(0, 1]` and
+/// a local skyline probability in `[0, P]`, and have finite, non-empty
+/// values, or the reply is rejected: the coordinator routes refills by the
+/// home site, keeps one queued candidate per site, and rebuilds the tuple
+/// for the answer from these fields.
 pub(crate) fn expect_upload(site: u32, msg: Message) -> Result<Option<TupleMsg>, Error> {
-    match msg {
-        Message::Upload(t) => Ok(t),
-        _ => Err(Error::ProtocolViolation { site, what: "expected Upload reply" }),
-    }
+    let t = match msg {
+        Message::Upload(Some(t)) => t,
+        Message::Upload(None) => return Ok(None),
+        _ => return Err(Error::ProtocolViolation { site, what: "expected Upload reply" }),
+    };
+    let what = if t.id.site.0 != site {
+        "upload from another site"
+    } else if !(t.prob > 0.0 && t.prob <= 1.0) {
+        "upload probability out of range"
+    } else if !(t.local_prob >= 0.0 && t.local_prob <= t.prob) {
+        "upload local probability out of range"
+    } else if t.values.is_empty() || !t.values.iter().all(|v| v.is_finite()) {
+        "upload values empty or non-finite"
+    } else {
+        return Ok(Some(t));
+    };
+    Err(Error::ProtocolViolation { site, what })
 }
 
 /// Interprets a reply from `site` that must be a survival reply; the
@@ -888,6 +906,51 @@ mod tests {
                 expect_survival(0, Message::SurvivalReply { survival: bad, pruned: 0 }).is_err()
             );
         }
+    }
+
+    fn upload(site: u32, values: Vec<f64>, prob: f64, local_prob: f64) -> Message {
+        let id = dsud_uncertain::TupleId::new(site, 3);
+        Message::Upload(Some(TupleMsg { id, values, prob, local_prob }))
+    }
+
+    #[test]
+    fn expect_upload_validates_the_tuple() {
+        assert!(matches!(expect_upload(2, upload(2, vec![1.0, 2.0], 0.5, 0.25)), Ok(Some(_))));
+        // The edges of the valid ranges.
+        assert!(expect_upload(2, upload(2, vec![1.0], 1.0, 1.0)).is_ok());
+        assert!(expect_upload(2, upload(2, vec![1.0], 0.5, 0.0)).is_ok());
+        let cases = [
+            (upload(3, vec![1.0, 2.0], 0.5, 0.25), "upload from another site"),
+            (upload(2, vec![1.0], 0.0, 0.0), "upload probability out of range"),
+            (upload(2, vec![1.0], 1.5, 0.5), "upload probability out of range"),
+            (upload(2, vec![1.0], f64::NAN, 0.5), "upload probability out of range"),
+            (upload(2, vec![1.0], 0.5, 0.75), "upload local probability out of range"),
+            (upload(2, vec![1.0], 0.5, -0.1), "upload local probability out of range"),
+            (upload(2, vec![1.0], 0.5, f64::NAN), "upload local probability out of range"),
+            (upload(2, vec![], 0.5, 0.25), "upload values empty or non-finite"),
+            (upload(2, vec![1.0, f64::NAN], 0.5, 0.25), "upload values empty or non-finite"),
+            (upload(2, vec![f64::INFINITY], 0.5, 0.25), "upload values empty or non-finite"),
+        ];
+        for (msg, what) in cases {
+            assert_eq!(expect_upload(2, msg), Err(Error::ProtocolViolation { site: 2, what }));
+        }
+    }
+
+    #[test]
+    fn malformed_upload_quarantines_the_site_under_degrade() {
+        use crate::degrade::FailureTracker;
+        use crate::FailurePolicy;
+        let foreign = || Ok(upload(0, vec![1.0], 0.5, 0.25));
+        let mut tracker = FailureTracker::new(3, FailurePolicy::Degrade, Recorder::disabled());
+        assert_eq!(tracker.upload(1, foreign()).unwrap(), None);
+        assert!(!tracker.is_active(1));
+        assert!(tracker.is_active(0) && tracker.is_active(2));
+        assert!(tracker.degraded());
+        let mut strict = FailureTracker::new(3, FailurePolicy::Strict, Recorder::disabled());
+        assert_eq!(
+            strict.upload(1, foreign()),
+            Err(Error::ProtocolViolation { site: 1, what: "upload from another site" })
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 
 use dsud_core::estimate::expected_skyline_count;
 use dsud_core::{probabilistic_skyline, Cluster, QueryConfig, SubspaceMask};
+use dsud_core::{BatchSize, BoundMode, PipelineDepth, PlanMode};
 use dsud_core::{Probability, TupleId, UncertainDb, UncertainTuple};
 
 fn arb_sites(
@@ -60,8 +61,21 @@ proptest! {
             .collect();
         expected.sort_by_key(|(id, _)| *id);
 
-        let config = QueryConfig::new(q).unwrap();
-        for edsud in [false, true] {
+        // Library defaults, and the served configuration: batched rounds
+        // sized by the plan phase with the pipelined expunge sweep.
+        let defaults = QueryConfig::new(q).unwrap();
+        let served = defaults
+            .batch_size(BatchSize::Auto)
+            .pipeline_depth(PipelineDepth::Auto)
+            .plan_mode(PlanMode::Sketch);
+        let runs = [
+            (false, defaults),
+            (true, defaults),
+            (false, served),
+            (true, served),
+            (true, served.bound_mode(BoundMode::BroadcastOnly)),
+        ];
+        for (edsud, config) in runs {
             let mut cluster = Cluster::local(2, sites.clone()).unwrap();
             let outcome = if edsud {
                 cluster.run_edsud(&config).unwrap()
@@ -77,7 +91,7 @@ proptest! {
             prop_assert_eq!(
                 got.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
                 expected.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-                "algorithm edsud={} diverged", edsud
+                "algorithm edsud={} diverged under {:?}", edsud, config
             );
             for ((_, p), (_, e)) in got.iter().zip(&expected) {
                 prop_assert!((p - e).abs() < 1e-9);

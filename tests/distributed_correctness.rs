@@ -6,6 +6,7 @@
 
 use dsud_core::{baseline, BandwidthMeter, BoundMode, Cluster, QueryConfig, SiteOptions};
 use dsud_core::{probabilistic_skyline, SubspaceMask, TupleId, UncertainDb, UncertainTuple};
+use dsud_core::{BatchSize, PipelineDepth, PlanMode};
 use dsud_data::{ProbabilityLaw, SpatialDistribution, WorkloadSpec};
 
 /// Centralized ground truth over the union of all sites.
@@ -60,6 +61,42 @@ fn check_all(sites: Vec<Vec<UncertainTuple>>, dims: usize, q: f64, label: &str) 
     let meter = BandwidthMeter::new();
     let base = baseline::run(&sites, dims, q, mask, &meter).unwrap();
     assert_same(&sorted_results(&base), &expected, &format!("{label}/baseline"));
+}
+
+/// The configuration every served workload runs: batched rounds sized by
+/// the plan phase, with the pipelined (interleaved) expunge sweep.
+fn served(q: f64) -> QueryConfig {
+    QueryConfig::new(q)
+        .unwrap()
+        .batch_size(BatchSize::Auto)
+        .pipeline_depth(PipelineDepth::Auto)
+        .plan_mode(PlanMode::Sketch)
+}
+
+#[test]
+fn served_configuration_matches_the_oracle() {
+    for (dims, sites_n, q) in [(3, 24, 0.3), (4, 20, 0.2), (4, 32, 0.45)] {
+        let sites = WorkloadSpec::new(1_500, dims)
+            .spatial(SpatialDistribution::Anticorrelated)
+            .seed(90 + dims as u64)
+            .generate_partitioned(sites_n)
+            .unwrap();
+        let mask = SubspaceMask::full(dims).unwrap();
+        let expected = reference(&sites, dims, q, mask);
+        let label = format!("served anticorr d={dims} m={sites_n} q={q}");
+        assert!(!expected.is_empty(), "{label}");
+
+        let mut cluster = Cluster::local(dims, sites.clone()).unwrap();
+        let dsud = cluster.run_dsud(&served(q)).unwrap();
+        assert_same(&sorted_results(&dsud), &expected, &format!("{label}/DSUD"));
+        for mode in [BoundMode::Paper, BoundMode::BroadcastOnly] {
+            let mut cluster = Cluster::local(dims, sites.clone()).unwrap();
+            let edsud = cluster.run_edsud(&served(q).bound_mode(mode)).unwrap();
+            assert_same(&sorted_results(&edsud), &expected, &format!("{label}/e-DSUD {mode:?}"));
+            // The batched, interleaved expunge sweep really ran.
+            assert!(edsud.stats.expunged > 0 && edsud.stats.broadcasts > 0, "{label}");
+        }
+    }
 }
 
 #[test]
